@@ -2,7 +2,7 @@
 //! engine.
 
 use crate::report::{HhhReport, Threshold};
-use crate::snapshot::{DetectorSnapshot, SnapshotFrame};
+use crate::snapshot::{DetectorSnapshot, SnapshotError, SnapshotFrame};
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::Nanos;
 
@@ -112,8 +112,9 @@ pub trait MergeableDetector {
     /// detectors there, and [`merge`](Self::merge) them.
     ///
     /// The default says "not supported" (`None`); detectors opt in.
-    /// The sharded pipeline engines in `hhh-window` forward snapshots
-    /// to sinks at every report point when one is available.
+    /// The sharded pipeline engines in `hhh-window` hand the merged
+    /// detector to sinks as a [`StateView`]; only sinks that read the
+    /// state call this.
     fn snapshot(&self) -> Option<DetectorSnapshot> {
         None
     }
@@ -121,7 +122,8 @@ pub trait MergeableDetector {
     /// Serialize the mergeable state as a wire-format v2
     /// [`SnapshotFrame`] carrying the report-window geometry
     /// `start..=at` — what frame-consuming sinks (binary files,
-    /// sockets, in-process channels) ask for at report points.
+    /// sockets, in-process channels) ask for at report points, through
+    /// [`StateView::to_frame`].
     ///
     /// The default goes through [`snapshot`](Self::snapshot) and the
     /// JSON → frame transcode (correct for any detector, and the
@@ -129,8 +131,8 @@ pub trait MergeableDetector {
     /// [`FrameEncode`](crate::snapshot::FrameEncode) override it with
     /// the **native** encoder, which writes the identical bytes
     /// without rendering or parsing JSON. Returns `None` when the
-    /// detector does not snapshot (or its snapshot has no v2 body
-    /// layout — callers fall back to [`snapshot`](Self::snapshot)).
+    /// detector does not snapshot or the encode fails
+    /// ([`StateView::to_frame`] then reports the transcode's error).
     fn to_frame(&self, start: Nanos, at: Nanos) -> Option<SnapshotFrame> {
         self.snapshot().and_then(|s| s.to_frame(start, at).ok())
     }
@@ -150,6 +152,39 @@ pub trait MergeableDetector {
     fn retract(&mut self, other: &Self) -> bool {
         let _ = other;
         false
+    }
+}
+
+/// A detector state at a report point, **encoded only on request**.
+///
+/// Engines hand sinks the live (merged) detector behind this view, so
+/// a sink that never reads states costs nothing, and one that does
+/// picks its encoding: JSON sinks call [`snapshot`](Self::snapshot),
+/// frame sinks [`to_frame`](Self::to_frame). Object-safe; implemented
+/// for every [`MergeableDetector`] and for
+/// [`RestoredDetector`](crate::RestoredDetector).
+pub trait StateView {
+    /// The JSON-bodied snapshot; `None` when the kind does not
+    /// serialize.
+    fn snapshot(&self) -> Option<Result<DetectorSnapshot, SnapshotError>>;
+
+    /// The state as a v2 frame carrying the window geometry
+    /// `start..=at`; `None` when the kind does not serialize.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<Result<SnapshotFrame, SnapshotError>>;
+}
+
+impl<D: MergeableDetector> StateView for D {
+    fn snapshot(&self) -> Option<Result<DetectorSnapshot, SnapshotError>> {
+        MergeableDetector::snapshot(self).map(Ok)
+    }
+
+    /// The native frame when the kind has one; otherwise the transcode
+    /// of its snapshot, whose failure is the typed error.
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<Result<SnapshotFrame, SnapshotError>> {
+        match MergeableDetector::to_frame(self, start, at) {
+            Some(frame) => Some(Ok(frame)),
+            None => MergeableDetector::snapshot(self).map(|s| s.to_frame(start, at)),
+        }
     }
 }
 

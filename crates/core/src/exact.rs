@@ -66,6 +66,36 @@ pub fn discount_bottom_up<H: Hierarchy>(
     reports
 }
 
+/// Per-level count maps (level 0 = most specific) of weighted items —
+/// the input [`discount_bottom_up`] takes. Level 0 sums the weights per
+/// [`item_prefix`](Hierarchy::item_prefix); each level above sums the
+/// level below through [`Hierarchy::parent`], so every item is hashed
+/// once, not once per level.
+pub fn level_counts<'a, H: Hierarchy>(
+    h: &H,
+    items: impl IntoIterator<Item = (&'a H::Item, &'a u64)>,
+) -> Vec<HashMap<H::Prefix, u64>>
+where
+    H::Item: 'a,
+{
+    let items = items.into_iter();
+    let mut maps = Vec::with_capacity(h.levels());
+    let mut below: HashMap<H::Prefix, u64> = HashMap::with_capacity(items.size_hint().0);
+    for (&item, &c) in items {
+        *below.entry(h.item_prefix(item)).or_default() += c;
+    }
+    for _ in 1..h.levels() {
+        let mut level = HashMap::with_capacity(below.len());
+        for (&p, &c) in &below {
+            *level.entry(h.parent(p).expect("non-root level has parents")).or_default() += c;
+        }
+        maps.push(below);
+        below = level;
+    }
+    maps.push(below);
+    maps
+}
+
 /// Exact windowed HHH detector (and plain heavy-hitter oracle).
 #[derive(Clone, Debug)]
 pub struct ExactHhh<H: Hierarchy> {
@@ -78,13 +108,6 @@ impl<H: Hierarchy> ExactHhh<H> {
     /// An empty detector over a hierarchy.
     pub fn new(hierarchy: H) -> Self {
         ExactHhh { hierarchy, counts: HashMap::new(), total: 0 }
-    }
-
-    /// Build directly from an item-count map (the window engine keeps
-    /// rolling per-epoch counts and materializes detectors from them).
-    pub fn from_counts(hierarchy: H, counts: HashMap<H::Item, u64>) -> Self {
-        let total = counts.values().sum();
-        ExactHhh { hierarchy, counts, total }
     }
 
     /// The hierarchy in use.
@@ -125,14 +148,7 @@ impl<H: Hierarchy> ExactHhh<H> {
     /// Build the per-level count maps (exposed for the analysis crate,
     /// which also wants raw level counts for Jaccard denominators).
     pub fn level_counts(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let levels = self.hierarchy.levels();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = vec![HashMap::new(); levels];
-        for (&item, &c) in &self.counts {
-            for (level, map) in maps.iter_mut().enumerate() {
-                *map.entry(self.hierarchy.generalize(item, level)).or_default() += c;
-            }
-        }
-        maps
+        level_counts(&self.hierarchy, &self.counts)
     }
 }
 

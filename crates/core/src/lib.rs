@@ -57,8 +57,8 @@ mod tdbf_hhh;
 mod twodim;
 mod univmon;
 
-pub use detector::{ContinuousDetector, HhhDetector, MergeableDetector};
-pub use exact::{discount_bottom_up, ExactHhh};
+pub use detector::{ContinuousDetector, HhhDetector, MergeableDetector, StateView};
+pub use exact::{discount_bottom_up, level_counts, ExactHhh};
 pub use hashpipe::HashPipe;
 pub use memento::MementoHhh;
 pub use mvpipe::{MvBucket, MvPipeHhh};

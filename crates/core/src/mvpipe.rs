@@ -20,7 +20,7 @@
 //! weight above half their bucket's traffic are guaranteed monitored.
 
 use crate::detector::{HhhDetector, MergeableDetector};
-use crate::exact::discount_bottom_up;
+use crate::exact::{discount_bottom_up, level_counts};
 use crate::report::{HhhReport, Threshold};
 use hhh_hierarchy::Hierarchy;
 use hhh_sketches::hash::hash_of;
@@ -100,23 +100,11 @@ impl<H: Hierarchy> MvPipeHhh<H> {
     /// Build per-level estimate maps lazily from the bottom pipe:
     /// level 0 holds the monitored candidates' bucket totals; each
     /// higher level is the previous one generalized one step and
-    /// summed. This is the only place the hierarchy is touched — the
-    /// update path never sees it.
+    /// summed (a key occupies one bucket only, so level 0 is each
+    /// candidate's bucket total). This is the only place the hierarchy
+    /// is touched — the update path never sees it.
     fn level_maps(&self) -> Vec<HashMap<H::Prefix, u64>> {
-        let n = self.hierarchy.levels();
-        let mut maps: Vec<HashMap<H::Prefix, u64>> = Vec::with_capacity(n);
-        maps.push(
-            self.bucket_entries().map(|b| (self.hierarchy.item_prefix(b.key), b.count)).collect(),
-        );
-        for level in 0..n - 1 {
-            let mut parents: HashMap<H::Prefix, u64> = HashMap::with_capacity(maps[level].len());
-            for (&p, &c) in &maps[level] {
-                let parent = self.hierarchy.parent(p).expect("non-root");
-                *parents.entry(parent).or_default() += c;
-            }
-            maps.push(parents);
-        }
-        maps
+        level_counts(&self.hierarchy, self.bucket_entries().map(|b| (&b.key, &b.count)))
     }
 
     /// Sorted, self-describing `(prefix, count, vote)` rows — the

@@ -27,12 +27,11 @@
 //! cell-delta helpers in [`binary`](super::binary) make divergence a
 //! compile-time refactor rather than a silent drift.
 //!
-//! Pipelines reach the native path through the provided
-//! [`MergeableDetector::to_frame`](crate::MergeableDetector::to_frame):
-//! sinks that consume v2 frames (binary files, sockets, in-process
-//! channels — the `SnapshotTransport` layer in `hhh-window`) advertise
-//! it, and the engines hand them natively encoded frames instead of
-//! JSON-bodied snapshots.
+//! Pipelines reach the native path through
+//! [`StateView::to_frame`](crate::StateView::to_frame): sinks that
+//! write v2 frames (binary files, sockets, in-process channels — the
+//! `SnapshotTransport` layer in `hhh-window`) call it on the state the
+//! engines hand them, and never build a JSON-bodied snapshot.
 
 use super::binary::SnapshotFrame;
 use super::SnapshotError;

@@ -648,6 +648,23 @@ where
     }
 }
 
+/// A folded state re-encodes on request like any live detector (the
+/// fold engine hands it to sinks as a [`StateView`](crate::StateView)).
+impl<H> crate::StateView for RestoredDetector<H>
+where
+    H: Hierarchy,
+    H::Item: FromStr,
+    H::Prefix: FromStr,
+{
+    fn snapshot(&self) -> Option<Result<DetectorSnapshot, SnapshotError>> {
+        Some(Ok(RestoredDetector::snapshot(self)))
+    }
+
+    fn to_frame(&self, start: Nanos, at: Nanos) -> Option<Result<SnapshotFrame, SnapshotError>> {
+        Some(RestoredDetector::to_frame(self, start, at))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -141,7 +141,7 @@ pub const MALFORMED_CASES: [&str; 7] = [
 
 /// The state frame of a kind's v2 corpus stream (skipping any report
 /// frames in front of it).
-fn state_frame_of(kind: &str) -> SnapshotFrame {
+fn frame_of_kind(kind: &str) -> SnapshotFrame {
     let stream = corpus_stream(kind, WireFormat::Binary);
     let mut rest = &stream[..];
     loop {
@@ -156,8 +156,8 @@ fn state_frame_of(kind: &str) -> SnapshotFrame {
 /// The state frame of the `tdbf-hhh` v2 corpus stream — the donor of
 /// the generic malformed cases (it is the kind with the most
 /// configuration to corrupt).
-fn donor_state_frame() -> (SnapshotFrame, Vec<u8>) {
-    let frame = state_frame_of("tdbf-hhh");
+fn donor_frame() -> (SnapshotFrame, Vec<u8>) {
+    let frame = frame_of_kind("tdbf-hhh");
     let bytes = frame.encode();
     (frame, bytes)
 }
@@ -174,7 +174,7 @@ pub fn write_corpus(dir: &Path) -> io::Result<()> {
         fs::write(dir.join(format!("{kind}.v2.bin")), corpus_stream(kind, WireFormat::Binary))?;
     }
 
-    let (frame, good) = donor_state_frame();
+    let (frame, good) = donor_frame();
 
     // Truncated: the frame cut mid-payload.
     fs::write(malformed.join("truncated.v2.bin"), &good[..good.len() * 3 / 5])?;
@@ -205,14 +205,14 @@ pub fn write_corpus(dir: &Path) -> io::Result<()> {
     // Envelope-total skew: a well-formed mvpipe frame whose header
     // total no longer equals the sum of its bucket counts — the frame
     // decodes, but rebuilding the detector must refuse it.
-    let mut skewed = state_frame_of("mvpipe");
+    let mut skewed = frame_of_kind("mvpipe");
     skewed.total += 1;
     fs::write(malformed.join("mvpipe_total_skew.v2.bin"), skewed.encode())?;
 
     // Vote overflow: an mvpipe body claiming a vote margin larger than
     // its bucket count — impossible from an honest encoder, so the
     // restorer must reject the row.
-    let geometry = state_frame_of("mvpipe");
+    let geometry = frame_of_kind("mvpipe");
     let overflow = DetectorSnapshot {
         kind: "mvpipe".into(),
         total: 5,

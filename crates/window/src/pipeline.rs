@@ -52,39 +52,14 @@ use crate::sharded::{with_continuous_shards, with_shards, with_sliding_shards, D
 use crate::sink::{CollectSink, ReportSink};
 use crate::source::Source;
 use hhh_core::{
-    discount_bottom_up, ContinuousDetector, HhhDetector, MergeableDetector, RestoredDetector,
-    Threshold, WireSnapshot,
+    discount_bottom_up, level_counts, ContinuousDetector, HhhDetector, MergeableDetector,
+    RestoredDetector, Threshold, WireSnapshot,
 };
 use hhh_hierarchy::Hierarchy;
 use hhh_nettypes::{Measure, Nanos, PacketRecord, TimeSpan};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::str::FromStr;
-
-/// Deliver a merged detector's state to the sink at a report point.
-///
-/// Frame-consuming sinks ([`ReportSink::wants_frames`]) get the
-/// **natively encoded** v2 frame
-/// ([`MergeableDetector::to_frame`], the `FrameEncode` path) — no JSON
-/// rendered or parsed; everything else gets the JSON-bodied
-/// [`snapshot`](MergeableDetector::snapshot) as before. Shared by
-/// every sharded engine.
-fn emit_state<P, D: MergeableDetector, K: ReportSink<P>>(
-    sink: &mut K,
-    detector: &D,
-    start: Nanos,
-    at: Nanos,
-) {
-    if sink.wants_frames() {
-        if let Some(frame) = detector.to_frame(start, at) {
-            sink.state_frame(&frame);
-            return;
-        }
-    }
-    if let Some(snap) = detector.snapshot() {
-        sink.state(start, at, &snap);
-    }
-}
 
 /// A fully described run: where packets come from, what computes on
 /// them, where reports go. See the [module docs](self) for the model.
@@ -175,31 +150,24 @@ fn for_each_item<S: Source>(mut source: S, mut f: impl FnMut(S::Item) -> bool) {
     }
 }
 
-/// Build an exact [`WindowReport`] from an item-count map (the sliding
+/// Build an exact [`WindowReport`] from per-level counts (the sliding
 /// and micro-varied engines keep exact rolling counts rather than a
-/// detector).
+/// detector, and build the levels with [`level_counts`]).
 fn exact_report<H: Hierarchy>(
     hierarchy: &H,
-    counts: &HashMap<H::Item, u64>,
+    levels: &[HashMap<H::Prefix, u64>],
     total: u64,
     threshold: Threshold,
     index: u64,
     start: Nanos,
     end: Nanos,
 ) -> WindowReport<H::Prefix> {
-    let levels = hierarchy.levels();
-    let mut maps: Vec<HashMap<H::Prefix, u64>> = vec![HashMap::new(); levels];
-    for (&item, &c) in counts.iter() {
-        for (level, map) in maps.iter_mut().enumerate() {
-            *map.entry(hierarchy.generalize(item, level)).or_default() += c;
-        }
-    }
     WindowReport {
         index,
         start,
         end,
         total,
-        hhhs: discount_bottom_up(hierarchy, &maps, threshold.absolute(total)),
+        hhhs: discount_bottom_up(hierarchy, levels, threshold.absolute(total)),
     }
 }
 
@@ -425,12 +393,13 @@ where
             }
             if window_epochs.len() == epw as usize {
                 let position = cur_epoch + 1 - epw;
+                let levels = level_counts(hierarchy, &*rolling);
                 for (ti, t) in thresholds.iter().enumerate() {
                     sink.accept(
                         ti,
                         exact_report(
                             hierarchy,
-                            rolling,
+                            &levels,
                             *rolling_total,
                             *t,
                             position,
@@ -577,7 +546,8 @@ where
                      sink: &mut K| {
             let start = Nanos::ZERO + base * cur;
             let end = start + base;
-            sink.accept(0, exact_report(hierarchy, counts, *total, threshold, cur, start, end));
+            let levels = level_counts(hierarchy, &*counts);
+            sink.accept(0, exact_report(hierarchy, &levels, *total, threshold, cur, start, end));
             // Subtract tail packets incrementally, smallest delta
             // first: each delta removes the packets in
             // (prev, delta] of offset-from-end.
@@ -609,7 +579,7 @@ where
                     1 + vi,
                     exact_report(
                         hierarchy,
-                        &variant_counts,
+                        &level_counts(hierarchy, &variant_counts),
                         variant_total,
                         threshold,
                         cur,
@@ -751,9 +721,9 @@ where
 
 /// Disjoint windows with ingestion hash-partitioned by key across one
 /// worker thread per shard detector, fed in batches; at every boundary
-/// the shard states are merged, the merged detector reports (and its
-/// [`snapshot`](MergeableDetector::snapshot), when supported, goes to
-/// the sink), and all shards reset.
+/// the shard states are merged, the merged detector reports (and goes
+/// to the sink's [`state`](ReportSink::state) hook, encoded only if the
+/// sink reads it), and all shards reset.
 ///
 /// With exact detectors the output is identical to [`Disjoint`] on the
 /// same stream (merge is lossless); with approximate ones it is
@@ -863,7 +833,7 @@ where
                         },
                     );
                 }
-                emit_state(sink, &merged, Nanos::ZERO + window * cur, end);
+                sink.state(Nanos::ZERO + window * cur, end, &merged);
                 pool.reset();
             };
 
@@ -915,9 +885,12 @@ where
 /// the epoch delta: workers hand back the *epoch that just closed*
 /// (epoch-sized, `step/window` of the window state), which is merged
 /// in; the epoch sliding out of the window is retracted. Per position
-/// that is `O(shards)` epoch-sized merges plus one window-sized clone
-/// for the report — down from the naive `shards × window/step`
-/// window-sized merges, and independent of the window/step ratio.
+/// that is `O(shards)` epoch-sized merges and one retract; the report
+/// and the sink's [`state`](ReportSink::state) hook read the rolling
+/// state by reference, with no clone, and the state is encoded only
+/// for sinks that read it. That is down from the naive
+/// `shards × window/step` window-sized merges, and independent of the
+/// window/step ratio.
 ///
 /// At one shard the engine skips the cross-shard state: the worker's
 /// own rolling detector already answers a window request in O(1)
@@ -1070,7 +1043,7 @@ where
                         },
                     );
                 }
-                emit_state(sink, merged, Nanos::ZERO + step * position, end);
+                sink.state(Nanos::ZERO + step * position, end, merged);
             };
 
             let boundary = |cur_epoch: u64,
@@ -1143,8 +1116,8 @@ where
 /// Sharded counterpart of [`Continuous`]: ingestion hash-partitioned by
 /// key across one worker thread per windowless shard detector; at each
 /// probe instant the shard states are merged (decaying both sides to a
-/// common time) and the merged detector answers — plus its
-/// [`snapshot`](MergeableDetector::snapshot) when supported.
+/// common time) and the merged detector answers — and goes to the
+/// sink's [`state`](ReportSink::state) hook.
 ///
 /// Requires a continuous detector that is also mergeable, e.g.
 /// [`TdbfHhh`](hhh_core::TdbfHhh). Key-partitioning keeps per-prefix
@@ -1248,7 +1221,7 @@ where
                 );
                 // Windowless probe: the state covers "now"; start and
                 // report point coincide.
-                emit_state(sink, &merged, probes[next], probes[next]);
+                sink.state(probes[next], probes[next], &merged);
             };
 
             for_each_item(source, |p| {
@@ -1283,7 +1256,9 @@ where
 /// emits the merged report — the in-process face of cross-process
 /// aggregation (`hhh-agg` drives the same fold over many streams at
 /// once). Binary (v2) snapshots decode straight into detectors, no
-/// JSON detour.
+/// JSON detour. The folded state goes to the sink's
+/// [`state`](ReportSink::state) hook; a sink that re-encodes it keeps
+/// a failed encode as its own typed error.
 ///
 /// Snapshots must arrive grouped by report point (`at`
 /// non-decreasing — **enforced**: an out-of-order snapshot panics, so
@@ -1371,14 +1346,7 @@ where
                         },
                     );
                 }
-                if sink.wants_frames() {
-                    match merged.to_frame(start, at) {
-                        Ok(frame) => sink.state_frame(&frame),
-                        Err(e) => panic!("re-encoding a folded state at {at}: {e}"),
-                    }
-                } else {
-                    sink.state(start, at, &merged.snapshot());
-                }
+                sink.state(start, at, &merged);
                 *index += 1;
             }
         };

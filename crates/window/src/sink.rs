@@ -14,15 +14,15 @@
 //! everything into `Vec`s (what the legacy `run_*` drivers returned),
 //! any `FnMut(usize, WindowReport<P>)` closure streams reports as they
 //! appear, and [`SnapshotSink`] writes the snapshot stream — including
-//! serialized [`DetectorSnapshot`]s from the sharded engines, the wire
+//! serialized detector states from the sharded engines, the wire
 //! format for cross-process aggregation — in either encoding:
 //! [`WireFormat::Json`] (v1 JSON lines) or [`WireFormat::Binary`] (v2
 //! frames, the hot aggregation path). `JsonSnapshotSink` survives as
 //! an alias for the JSON-defaulting constructor.
 
 use crate::report::WindowReport;
-use hhh_core::snapshot::{json_string, DetectorSnapshot, SnapshotFrame, StampedSnapshot};
-use hhh_core::WireFormat;
+use hhh_core::snapshot::{json_string, SnapshotFrame, StampedSnapshot};
+use hhh_core::{SnapshotError, StateView, WireFormat};
 use hhh_nettypes::Nanos;
 use std::fmt::Display;
 use std::io::Write;
@@ -44,35 +44,14 @@ pub trait ReportSink<P> {
     /// in window order.
     fn accept(&mut self, series: usize, report: WindowReport<P>);
 
-    /// Serialized merged detector state at a report point (`at`),
-    /// covering the window starting at `start` (`start == at` for
-    /// windowless probes). Only engines whose detector opts into
-    /// [`MergeableDetector::snapshot`](hhh_core::MergeableDetector::snapshot)
-    /// call this; the default ignores it.
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        let _ = (start, at, snapshot);
-    }
-
-    /// Does this sink consume states as **v2 frames**? When `true`,
-    /// engines encode states natively
-    /// ([`MergeableDetector::to_frame`](hhh_core::MergeableDetector::to_frame),
-    /// the `FrameEncode` path) and call
-    /// [`state_frame`](Self::state_frame) instead of building a
-    /// JSON-bodied snapshot for [`state`](Self::state) — the binary
-    /// sinks and the snapshot transports opt in.
-    fn wants_frames(&self) -> bool {
-        false
-    }
-
-    /// A state already encoded as a v2 frame (carries its own window
-    /// geometry). The default transcodes back to the JSON-bodied
-    /// snapshot and forwards to [`state`](Self::state), so sinks that
-    /// never opted into [`wants_frames`](Self::wants_frames) still see
-    /// every state.
-    fn state_frame(&mut self, frame: &SnapshotFrame) {
-        if let Ok(snapshot) = DetectorSnapshot::from_frame(frame) {
-            self.state(frame.start, frame.at, &snapshot);
-        }
+    /// The merged detector state at a report point (`at`), covering
+    /// the window starting at `start` (`start == at` for windowless
+    /// probes). Sharded and fold engines call this once per report
+    /// point; the state is **encoded only if the sink asks**
+    /// ([`StateView::snapshot`] or [`StateView::to_frame`]), so the
+    /// default, which ignores it, costs nothing.
+    fn state(&mut self, start: Nanos, at: Nanos, state: &dyn StateView) {
+        let _ = (start, at, state);
     }
 
     /// The stream is complete; produce the output.
@@ -226,6 +205,10 @@ impl<W: Write> SnapshotSink<W> {
     }
 }
 
+fn encode_error(e: SnapshotError) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
 /// Render one `{"type":"report",…}` JSON line (no trailing newline) —
 /// the report shape of the snapshot stream. Shared between
 /// [`SnapshotSink`] and the `hhh-agg` aggregator, so a merged report
@@ -273,47 +256,25 @@ impl<P: Display, W: Write> ReportSink<P> for SnapshotSink<W> {
         }
     }
 
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        match self.format {
-            WireFormat::Json => {
-                // One renderer for the state line shape, borrowed — no
-                // clone of the (possibly megabyte) state body on the
-                // hot sink path.
-                let line = StampedSnapshot::render(start, at, snapshot);
-                self.write_line(&line);
-            }
-            WireFormat::Binary => match snapshot.to_frame(start, at) {
-                Ok(frame) => self.write_bytes(&frame.encode()),
-                Err(e) if self.error.is_none() => {
-                    self.error =
-                        Some(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()));
-                }
-                Err(_) => {}
-            },
+    /// JSON writes the state line of [`StateView::snapshot`], binary
+    /// the natively encoded [`StateView::to_frame`]. A failed encode is
+    /// the sink's first error (`InvalidData` wrapping the
+    /// [`SnapshotError`]).
+    fn state(&mut self, start: Nanos, at: Nanos, state: &dyn StateView) {
+        if self.error.is_some() {
+            return;
         }
-    }
-
-    /// A binary sink takes states as frames, so engines use the
-    /// native encode path (no JSON rendered or parsed per state).
-    fn wants_frames(&self) -> bool {
-        self.format == WireFormat::Binary
-    }
-
-    fn state_frame(&mut self, frame: &SnapshotFrame) {
         match self.format {
-            WireFormat::Binary => self.write_bytes(&frame.encode()),
-            // A JSON sink fed a frame (a custom engine, say) still
-            // writes the canonical state line.
-            WireFormat::Json => match DetectorSnapshot::from_frame(frame) {
-                Ok(snapshot) => {
-                    let line = StampedSnapshot::render(frame.start, frame.at, &snapshot);
-                    self.write_line(&line);
-                }
-                Err(e) if self.error.is_none() => {
-                    self.error =
-                        Some(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()));
-                }
-                Err(_) => {}
+            WireFormat::Json => match state.snapshot() {
+                // One renderer for the state line shape.
+                Some(Ok(snap)) => self.write_line(&StampedSnapshot::render(start, at, &snap)),
+                Some(Err(e)) => self.error = Some(encode_error(e)),
+                None => {}
+            },
+            WireFormat::Binary => match state.to_frame(start, at) {
+                Some(Ok(frame)) => self.write_bytes(&frame.encode()),
+                Some(Err(e)) => self.error = Some(encode_error(e)),
+                None => {}
             },
         }
     }
@@ -331,7 +292,8 @@ impl<P: Display, W: Write> ReportSink<P> for SnapshotSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hhh_core::HhhReport;
+    use hhh_core::{DetectorSnapshot, ExactHhh, HhhDetector, HhhReport};
+    use hhh_hierarchy::Ipv4Hierarchy;
 
     fn report(index: u64) -> WindowReport<u32> {
         WindowReport {
@@ -347,6 +309,13 @@ mod tests {
                 lower_bound: 50,
             }],
         }
+    }
+
+    /// A live detector whose state is [`snap`].
+    fn exact() -> ExactHhh<Ipv4Hierarchy> {
+        let mut d = ExactHhh::new(Ipv4Hierarchy::bytes());
+        d.observe(7, 300);
+        d
     }
 
     fn snap() -> DetectorSnapshot {
@@ -389,7 +358,7 @@ mod tests {
         let mut sink = SnapshotSink::new(Vec::new());
         ReportSink::<u32>::begin(&mut sink, 1);
         sink.accept(0, report(2));
-        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &snap());
+        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &exact());
         let (bytes, err) = ReportSink::<u32>::finish(sink);
         assert!(err.is_none());
         let text = String::from_utf8(bytes).unwrap();
@@ -407,7 +376,7 @@ mod tests {
         let mut sink = SnapshotSink::binary(Vec::new());
         ReportSink::<u32>::begin(&mut sink, 1);
         sink.accept(0, report(2));
-        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &snap());
+        ReportSink::<u32>::state(&mut sink, Nanos::from_secs(2), Nanos::from_secs(3), &exact());
         let (bytes, err) = ReportSink::<u32>::finish(sink);
         assert!(err.is_none());
 

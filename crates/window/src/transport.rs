@@ -18,8 +18,8 @@
 //! encoded frames — [`FrameWrite`] pushes them, [`FrameRead`] pulls
 //! them, and the pipeline faces ([`TransportSink`](crate::TransportSink),
 //! [`TransportSource`]) adapt either end to the `Pipeline` API. The
-//! write side hands detectors' **natively encoded** frames through
-//! (`MergeableDetector::to_frame`, the `FrameEncode` path) — no JSON
+//! write side asks each state for its **natively encoded** frame
+//! (`StateView::to_frame`, the `FrameEncode` path) — no JSON
 //! is rendered or parsed anywhere between a shard's detector state and
 //! the aggregator's restored detector.
 //!
@@ -54,8 +54,8 @@ use crate::sink::{render_report_line, ReportSink};
 use crate::source::Source;
 use crate::WindowReport;
 use hhh_core::snapshot::binary::{payload_len, FRAME_HEADER_LEN, REPORT_KIND};
-use hhh_core::snapshot::{DetectorSnapshot, SnapshotFrame};
-use hhh_core::{SnapshotError, WireSnapshot};
+use hhh_core::snapshot::SnapshotFrame;
+use hhh_core::{SnapshotError, StateView, WireSnapshot};
 use hhh_nettypes::Nanos;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -1298,11 +1298,11 @@ fn hub_connection(
 
 /// A [`ReportSink`] that streams pipeline output through any
 /// [`FrameWrite`]: reports as report frames, states as **natively
-/// encoded** v2 frames (it advertises
-/// [`wants_frames`](ReportSink::wants_frames), so engines hand it
-/// `MergeableDetector::to_frame` output — no JSON on the path).
+/// encoded** v2 frames ([`StateView::to_frame`] — no JSON on the
+/// path).
 ///
-/// The first transport error is kept and returned from
+/// The first error — a transport failure, or a state that fails to
+/// encode ([`TransportError::Frame`]) — is kept and returned from
 /// [`finish`](ReportSink::finish), mirroring
 /// [`SnapshotSink`](crate::SnapshotSink)'s I/O error story.
 #[derive(Debug)]
@@ -1337,20 +1337,14 @@ impl<P: Display, T: FrameWrite> ReportSink<P> for TransportSink<T> {
         self.write(&frame);
     }
 
-    fn wants_frames(&self) -> bool {
-        true
-    }
-
-    fn state_frame(&mut self, frame: &SnapshotFrame) {
-        self.write(frame);
-    }
-
-    fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-        // Fallback for detectors without a native encoder: transcode.
-        match snapshot.to_frame(start, at) {
-            Ok(frame) => self.write(&frame),
-            Err(e) if self.error.is_none() => self.error = Some(TransportError::Frame(e)),
-            Err(_) => {}
+    fn state(&mut self, start: Nanos, at: Nanos, state: &dyn StateView) {
+        if self.error.is_some() {
+            return;
+        }
+        match state.to_frame(start, at) {
+            Some(Ok(frame)) => self.write(&frame),
+            Some(Err(e)) => self.error = Some(TransportError::Frame(e)),
+            None => {}
         }
     }
 
@@ -1422,8 +1416,9 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hhh_core::DetectorSnapshot;
 
-    fn state_frame(at_secs: u64, total: u64) -> SnapshotFrame {
+    fn exact_frame(at_secs: u64, total: u64) -> SnapshotFrame {
         let snap = DetectorSnapshot {
             kind: "exact".into(),
             total,
@@ -1436,7 +1431,7 @@ mod tests {
     #[test]
     fn file_transport_roundtrips_frames() {
         let mut w = FileTransport::new(Vec::new());
-        let frames = [state_frame(1, 10), state_frame(2, 20)];
+        let frames = [exact_frame(1, 10), exact_frame(2, 20)];
         for f in &frames {
             w.write_frame(f).unwrap();
         }
@@ -1452,7 +1447,7 @@ mod tests {
     #[test]
     fn file_transport_reports_torn_tails() {
         let mut w = FileTransport::new(Vec::new());
-        w.write_frame(&state_frame(1, 10)).unwrap();
+        w.write_frame(&exact_frame(1, 10)).unwrap();
         let mut bytes = w.into_inner();
         bytes.truncate(bytes.len() - 3);
         let mut r = FileTransport::new(io::Cursor::new(bytes));
@@ -1467,7 +1462,7 @@ mod tests {
     #[test]
     fn mem_transport_moves_frames_between_threads() {
         let (mut w, r) = mem_transport(4);
-        let frames: Vec<_> = (0..10).map(|i| state_frame(i, i * 10)).collect();
+        let frames: Vec<_> = (0..10).map(|i| exact_frame(i, i * 10)).collect();
         let expect = frames.clone();
         let producer = std::thread::spawn(move || {
             for f in &frames {
@@ -1489,7 +1484,7 @@ mod tests {
     fn mem_transport_reports_hangup_to_the_writer() {
         let (mut w, r) = mem_transport(1);
         drop(r);
-        let err = w.write_frame(&state_frame(1, 1)).unwrap_err();
+        let err = w.write_frame(&exact_frame(1, 1)).unwrap_err();
         assert!(matches!(err, TransportError::Io { op: "send", .. }), "{err:?}");
         // The error chains to the io::Error via source().
         assert!(std::error::Error::source(&err).is_some());
@@ -1511,7 +1506,7 @@ mod tests {
         let mut tampered = hello.clone();
         tampered.body[0] ^= 1;
         assert!(parse_hello(&tampered).is_err());
-        assert!(parse_hello(&state_frame(1, 1)).is_err(), "state frames are not hellos");
+        assert!(parse_hello(&exact_frame(1, 1)).is_err(), "state frames are not hellos");
     }
 
     #[test]
@@ -1521,7 +1516,7 @@ mod tests {
         // Frames survive the wire encoding like any other frame.
         let (decoded, _) = SnapshotFrame::decode(&ack.encode()).unwrap();
         assert_eq!(parse_ack(&decoded).unwrap(), (7, 42));
-        assert!(parse_ack(&state_frame(1, 1)).is_err(), "state frames are not acks");
+        assert!(parse_ack(&exact_frame(1, 1)).is_err(), "state frames are not acks");
     }
 
     #[test]
@@ -1530,7 +1525,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.spool");
         let _ = std::fs::remove_file(&path);
-        let frames = [state_frame(1, 10), state_frame(2, 20), state_frame(3, 30)];
+        let frames = [exact_frame(1, 10), exact_frame(2, 20), exact_frame(3, 30)];
         {
             let mut spool = FrameSpool::open(&path).unwrap();
             for f in &frames {
@@ -1545,7 +1540,7 @@ mod tests {
         {
             use std::io::Write as _;
             let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
-            let torn = state_frame(4, 40).encode();
+            let torn = exact_frame(4, 40).encode();
             f.write_all(&torn[..torn.len() - 5]).unwrap();
         }
         let mut spool = FrameSpool::open(&path).unwrap();
@@ -1555,7 +1550,7 @@ mod tests {
             assert_eq!(&SnapshotFrame::decode(&bytes).unwrap().0, f);
         }
         // Appends continue past the truncation point.
-        spool.append(&state_frame(4, 40).encode()).unwrap();
+        spool.append(&exact_frame(4, 40).encode()).unwrap();
         assert_eq!(spool.len(), 4);
         let reopened = FrameSpool::open(&path).unwrap();
         assert_eq!(reopened.len(), 4);
@@ -1590,8 +1585,8 @@ mod tests {
         // First life: a plain writer delivers frames 0 and 1, dies.
         {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
-            t.write_frame(&state_frame(1, 100)).unwrap();
-            t.write_frame(&state_frame(2, 101)).unwrap();
+            t.write_frame(&exact_frame(1, 100)).unwrap();
+            t.write_frame(&exact_frame(2, 101)).unwrap();
         }
         // Wait until the hub has admitted both frames, so the restart
         // below races nothing.
@@ -1603,7 +1598,7 @@ mod tests {
         {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
             for (i, total) in [100u64, 101, 102, 103].iter().enumerate() {
-                t.write_frame(&state_frame(i as u64 + 1, *total)).unwrap();
+                t.write_frame(&exact_frame(i as u64 + 1, *total)).unwrap();
             }
         }
         let second = drain_frames(&rx, 1, 2);
@@ -1626,7 +1621,7 @@ mod tests {
             let mut t =
                 TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").with_spool(spool);
             for i in 0..3u64 {
-                t.write_frame(&state_frame(i + 1, 100 + i)).unwrap();
+                t.write_frame(&exact_frame(i + 1, 100 + i)).unwrap();
             }
             assert_eq!(t.acked(), 0, "first handshake acked an empty stream");
             assert_eq!(t.spooled(), 3);
@@ -1641,7 +1636,7 @@ mod tests {
             let mut t =
                 TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").with_spool(spool);
             for i in 0..5u64 {
-                t.write_frame(&state_frame(i + 1, 100 + i)).unwrap();
+                t.write_frame(&exact_frame(i + 1, 100 + i)).unwrap();
             }
             assert_eq!(t.acked(), 3, "resume handshake learned the hub's position");
             assert_eq!(t.spooled(), 5);
@@ -1661,7 +1656,7 @@ mod tests {
         // silently shorten the stream.
         let mut conn = TcpStream::connect(addr).unwrap();
         conn.write_all(&hello_frame(0, "shard-0", 5).encode()).unwrap();
-        conn.write_all(&state_frame(6, 105).encode()).unwrap();
+        conn.write_all(&exact_frame(6, 105).encode()).unwrap();
         match rx.recv_timeout(Duration::from_secs(30)).unwrap() {
             HubEvent::Gap { id, claimed, received } => {
                 assert_eq!((id, claimed, received), (0, 5, 0));
@@ -1681,7 +1676,7 @@ mod tests {
         // never dials in — the accept-idle limit must end the wait.
         let writer = std::thread::spawn(move || {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
-            t.write_frame(&state_frame(1, 42)).unwrap();
+            t.write_frame(&exact_frame(1, 42)).unwrap();
         });
         let err = listener.collect_streams(2).unwrap_err();
         writer.join().unwrap();
@@ -1706,7 +1701,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut conn = TcpStream::connect(addr).unwrap();
             conn.write_all(&hello_frame(0, "shard-0", 0).encode()).unwrap();
-            conn.write_all(&state_frame(1, 42).encode()).unwrap();
+            conn.write_all(&exact_frame(1, 42).encode()).unwrap();
             let _ = done_rx.recv(); // hold the connection open, silent
         });
         let err = listener.collect_streams(1).unwrap_err();
@@ -1733,7 +1728,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut t = TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0");
             for i in 0..10u64 {
-                t.write_frame(&state_frame(i + 1, i)).unwrap();
+                t.write_frame(&exact_frame(i + 1, i)).unwrap();
                 std::thread::sleep(Duration::from_millis(40));
             }
         });
@@ -1756,7 +1751,7 @@ mod tests {
                     let mut t = TcpTransport::connect(addr.to_string())
                         .with_hello(id, format!("shard-{id}"));
                     for i in 0..3 {
-                        t.write_frame(&state_frame(i + 1, (id + 1) * 100 + i)).unwrap();
+                        t.write_frame(&exact_frame(i + 1, (id + 1) * 100 + i)).unwrap();
                     }
                 })
             })
@@ -1784,7 +1779,7 @@ mod tests {
             TcpFrameListener::bind("127.0.0.1:0").unwrap().with_timeout(Duration::from_secs(30));
         let addr = listener.local_addr().unwrap();
         let torn = {
-            let bytes = state_frame(2, 43).encode();
+            let bytes = exact_frame(2, 43).encode();
             bytes[..bytes.len() - 5].to_vec()
         };
         let writer = std::thread::spawn(move || {
@@ -1792,7 +1787,7 @@ mod tests {
             // one, then die.
             let mut conn = TcpStream::connect(addr).unwrap();
             conn.write_all(&hello_frame(0, "shard-0", 0).encode()).unwrap();
-            conn.write_all(&state_frame(1, 42).encode()).unwrap();
+            conn.write_all(&exact_frame(1, 42).encode()).unwrap();
             conn.write_all(&torn).unwrap();
             drop(conn);
             // Reconnect: the hello claims the one frame that fully
@@ -1800,8 +1795,8 @@ mod tests {
             // more, then a clean end.
             let mut t =
                 TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").resuming_after(1);
-            t.write_frame(&state_frame(2, 43)).unwrap();
-            t.write_frame(&state_frame(3, 44)).unwrap();
+            t.write_frame(&exact_frame(2, 43)).unwrap();
+            t.write_frame(&exact_frame(3, 44)).unwrap();
         });
         let streams = listener.collect_streams(1).unwrap();
         writer.join().unwrap();
@@ -1823,7 +1818,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut t =
                 TcpTransport::connect(addr.to_string()).with_hello(0, "shard-0").resuming_after(1);
-            t.write_frame(&state_frame(2, 43)).unwrap();
+            t.write_frame(&exact_frame(2, 43)).unwrap();
         });
         let err = listener.collect_streams(1).unwrap_err();
         writer.join().unwrap();
@@ -1849,7 +1844,7 @@ mod tests {
                 let mut t = TcpTransport::connect(addr.to_string())
                     .with_hello(0, "late")
                     .with_retry(40, Duration::from_millis(25), Duration::from_millis(100));
-                t.write_frame(&state_frame(1, 7)).unwrap();
+                t.write_frame(&exact_frame(1, 7)).unwrap();
             });
         std::thread::sleep(Duration::from_millis(300));
         let listener = TcpFrameListener::bind(addr).unwrap().with_timeout(Duration::from_secs(30));
@@ -1869,7 +1864,7 @@ mod tests {
             Duration::from_millis(1),
             Duration::from_millis(2),
         );
-        let err = t.write_frame(&state_frame(1, 1)).unwrap_err();
+        let err = t.write_frame(&exact_frame(1, 1)).unwrap_err();
         assert!(matches!(err, TransportError::Io { op: "connect", .. }), "{err:?}");
         assert!(std::error::Error::source(&err).is_some(), "source() chains to io::Error");
     }

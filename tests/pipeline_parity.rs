@@ -17,7 +17,7 @@
 //!   state to sinks whose totals match the reports.
 
 use hidden_hhh::core::snapshot::DetectorSnapshot;
-use hidden_hhh::core::{TdbfHhh, TdbfHhhConfig};
+use hidden_hhh::core::{StateView, TdbfHhh, TdbfHhhConfig};
 use hidden_hhh::prelude::*;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -341,8 +341,9 @@ fn sharded_engine_forwards_merged_snapshots() {
         fn accept(&mut self, _series: usize, report: WindowReport<Ipv4Prefix>) {
             self.reports.push(report);
         }
-        fn state(&mut self, start: Nanos, at: Nanos, snapshot: &DetectorSnapshot) {
-            self.states.push((start, at, snapshot.clone()));
+        fn state(&mut self, start: Nanos, at: Nanos, state: &dyn StateView) {
+            let snapshot = state.snapshot().expect("exact states serialize").expect("encodes");
+            self.states.push((start, at, snapshot));
         }
         fn finish(self) -> Self {
             self
